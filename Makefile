@@ -58,8 +58,9 @@ bench-pr4:
 # bench-pr5 runs the PR 5 wire-codec benchmarks — binary protocol v2
 # round trips (point reads, indexed finds, id-batch lookups) and the
 # small-document encoder — and rewrites BENCH_PR5.json against the
-# recorded JSON-codec baseline in bench/baseline_pr5.txt (captured
-# with WIRE_PROTO=1, which pins the v1 codec).
+# recorded JSON-codec baseline in bench/baseline_pr5.txt. That baseline
+# is recorded data: the v1 codec it measured is retired, so it can no
+# longer be re-captured.
 bench-pr5:
 	$(GO) test ./internal/wire -run '^$$' -bench BenchmarkWire -benchtime $(BENCHTIME) -count $(COUNT) -benchmem > bench/current_pr5.txt
 	$(GO) test ./internal/storage -run '^$$' -bench BenchmarkEncodeDoc -benchtime $(BENCHTIME) -count $(COUNT) -benchmem >> bench/current_pr5.txt
@@ -68,9 +69,10 @@ bench-pr5:
 
 # bench-pr6 runs the PR 6 observability/admission benchmarks — point
 # reads with every admission gate armed, and snapshot lookups/renders —
-# and rewrites BENCH_PR6.json against bench/baseline_pr6.txt (captured
-# with WIRE_ADMISSION=off OBS_NOINDEX=1, which pins the seed server
-# construction and the pre-index snapshot accessors).
+# and rewrites BENCH_PR6.json against bench/baseline_pr6.txt. That
+# baseline (the seed server construction and the pre-index snapshot
+# accessors) is recorded data; the switches that re-created those code
+# paths are gone, so it can no longer be re-captured.
 bench-pr6:
 	$(GO) test ./internal/wire -run '^$$' -bench BenchmarkWireAdmission -benchtime $(BENCHTIME) -count $(COUNT) -benchmem > bench/current_pr6.txt
 	$(GO) test ./internal/obs -run '^$$' -bench BenchmarkSnapshot -benchtime $(BENCHTIME) -count $(COUNT) -benchmem >> bench/current_pr6.txt

@@ -2,16 +2,13 @@ package obs
 
 // Snapshot benchmarks for the PR 6 observability surface. The lookup
 // benchmark's contrast is the lazily built name index versus the O(n)
-// scan the accessors used before: bench/baseline_pr6.txt was recorded
-// with OBS_NOINDEX=1, which strips the index by round-tripping the
-// snapshot through JSON (exactly the shape wire-decoded snapshots had,
-// and the pre-index cost for every snapshot).
+// scan the accessors used before; bench/baseline_pr6.txt holds the
+// pre-index side as recorded data, and no switch re-captures it any
+// more.
 //
 //	go test ./internal/obs -bench BenchmarkSnapshot -benchtime 1x -count 3
 
 import (
-	"encoding/json"
-	"os"
 	"strconv"
 	"testing"
 	"time"
@@ -37,19 +34,7 @@ func benchSnapshot(b *testing.B) (Snapshot, []string) {
 			h.Observe(time.Duration(j) * time.Microsecond)
 		}
 	}
-	snap := reg.Snapshot()
-	if os.Getenv("OBS_NOINDEX") == "1" {
-		raw, err := snap.JSON()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var stripped Snapshot
-		if err := json.Unmarshal(raw, &stripped); err != nil {
-			b.Fatal(err)
-		}
-		snap = stripped
-	}
-	return snap, names
+	return reg.Snapshot(), names
 }
 
 // BenchmarkSnapshotLookup measures Get/CounterValue over every

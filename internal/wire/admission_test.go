@@ -84,10 +84,7 @@ func TestIdleTimeoutReapsStalledClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stalled.Close()
-	if err := writeHello(stalled, V2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readHelloReply(stalled); err != nil {
+	if err := Handshake(stalled); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := stalled.Write([]byte{0x00, 0x00}); err != nil {
@@ -165,7 +162,7 @@ func TestMaxConnsCap(t *testing.T) {
 
 // TestShedReturnsRetryable: past the server-wide inflight ceiling a
 // request is answered with CodeOverloaded — observable through
-// IsRetryable on both the binary and the JSON protocol.
+// IsRetryable, once per connection.
 func TestShedReturnsRetryable(t *testing.T) {
 	rs, addr, stop := startAdmissionServer(t,
 		ServerConfig{ShedInflight: 1},
@@ -178,7 +175,7 @@ func TestShedReturnsRetryable(t *testing.T) {
 	dialers := []struct {
 		name string
 		fn   func(string) (*Client, error)
-	}{{"v2", Dial}, {"v1", DialJSON}}
+	}{{"v2", Dial}}
 	for _, d := range dialers {
 		t.Run(d.name, func(t *testing.T) {
 			cl, err := d.fn(addr)
@@ -210,8 +207,8 @@ func TestShedReturnsRetryable(t *testing.T) {
 			}
 		})
 	}
-	if got := rs.Metrics().Snapshot().CounterValue(obs.Name("wire.requests_shed", "reason", "overload")); got < 2 {
-		t.Fatalf("wire.requests_shed = %d, want >= 2", got)
+	if got := rs.Metrics().Snapshot().CounterValue(obs.Name("wire.requests_shed", "reason", "overload")); got < uint64(len(dialers)) {
+		t.Fatalf("wire.requests_shed = %d, want >= %d", got, len(dialers))
 	}
 }
 

@@ -43,7 +43,7 @@ func (b *rsBackend) execRead(p sim.Proc, req *Request, tctx trace.Context, fn fu
 }
 
 // Dispatch implements Backend for a replica set.
-func (b *rsBackend) Dispatch(p sim.Proc, req *Request, binary bool, tctx trace.Context) *Response {
+func (b *rsBackend) Dispatch(p sim.Proc, req *Request, tctx trace.Context) *Response {
 	resp := &Response{}
 	fail := func(err error) *Response {
 		resp.Err = err.Error()
@@ -86,13 +86,11 @@ func (b *rsBackend) Dispatch(p sim.Proc, req *Request, binary bool, tctx trace.C
 		resp.Status = body
 	case OpFindByID:
 		res, ts, stale, err := b.execRead(p, req, tctx, func(v cluster.ReadView) (any, error) {
-			if binary {
-				if ev, ok := v.(cluster.EncodedReadView); ok {
-					if e, found := ev.FindByIDEncoded(req.Collection, req.DocID); found {
-						return e, nil
-					}
-					return nil, nil
+			if ev, ok := v.(cluster.EncodedReadView); ok {
+				if e, found := ev.FindByIDEncoded(req.Collection, req.DocID); found {
+					return e, nil
 				}
+				return nil, nil
 			}
 			d, ok := v.FindByID(req.Collection, req.DocID)
 			if !ok {
@@ -109,17 +107,12 @@ func (b *rsBackend) Dispatch(p sim.Proc, req *Request, binary bool, tctx trace.C
 			resp.Found = true
 			resp.rawDoc = d.Bytes()
 		case storage.Document:
-			if d != nil {
-				resp.Found = true
-				fillDoc(resp, binary, d)
-			}
+			resp.SetDoc(d)
 		}
 	case OpFindMany:
 		res, ts, stale, err := b.execRead(p, req, tctx, func(v cluster.ReadView) (any, error) {
-			if binary {
-				if ev, ok := v.(cluster.EncodedReadView); ok {
-					return ev.FindManyByIDEncoded(req.Collection, req.IDs), nil
-				}
+			if ev, ok := v.(cluster.EncodedReadView); ok {
+				return ev.FindManyByIDEncoded(req.Collection, req.IDs), nil
 			}
 			return v.FindManyByID(req.Collection, req.IDs), nil
 		})
@@ -127,32 +120,22 @@ func (b *rsBackend) Dispatch(p sim.Proc, req *Request, binary bool, tctx trace.C
 			return fail(err)
 		}
 		resp.OpSecs, resp.OpInc, resp.StaleSecs = ts.Secs, ts.Inc, stale
-		fillDocs(resp, binary, res)
+		fillDocs(resp, res)
 	case OpFind:
-		filter, err := req.filterValue()
-		if err != nil {
-			return fail(err)
-		}
 		res, ts, stale, err := b.execRead(p, req, tctx, func(v cluster.ReadView) (any, error) {
-			if binary {
-				if ev, ok := v.(cluster.EncodedReadView); ok {
-					return ev.FindEncoded(req.Collection, filter, req.Limit), nil
-				}
+			if ev, ok := v.(cluster.EncodedReadView); ok {
+				return ev.FindEncoded(req.Collection, req.filter, req.Limit), nil
 			}
-			return v.Find(req.Collection, filter, req.Limit), nil
+			return v.Find(req.Collection, req.filter, req.Limit), nil
 		})
 		if err != nil {
 			return fail(err)
 		}
 		resp.OpSecs, resp.OpInc, resp.StaleSecs = ts.Secs, ts.Inc, stale
-		fillDocs(resp, binary, res)
+		fillDocs(resp, res)
 	case OpCount:
-		filter, err := req.filterValue()
-		if err != nil {
-			return fail(err)
-		}
 		res, ts, stale, err := b.execRead(p, req, tctx, func(v cluster.ReadView) (any, error) {
-			return v.Count(req.Collection, filter), nil
+			return v.Count(req.Collection, req.filter), nil
 		})
 		if err != nil {
 			return fail(err)
@@ -191,17 +174,13 @@ func (b *rsBackend) Dispatch(p sim.Proc, req *Request, binary bool, tctx trace.C
 func applyMutations(tx cluster.WriteTxn, muts []Mutation) error {
 	for i := range muts {
 		m := &muts[i]
-		doc, err := m.document()
-		if err != nil {
-			return err
-		}
 		switch m.Kind {
 		case "insert":
-			if err := tx.Insert(m.Collection, doc); err != nil {
+			if err := tx.Insert(m.Collection, m.doc); err != nil {
 				return err
 			}
 		case "set":
-			if err := tx.Set(m.Collection, m.DocID, doc); err != nil {
+			if err := tx.Set(m.Collection, m.DocID, m.doc); err != nil {
 				return err
 			}
 		case "delete":
@@ -231,19 +210,9 @@ func fillEntries(resp *Response, entries []oplog.DecodedEntry) {
 	resp.Entries = out
 }
 
-// fillDoc routes a single-document result to the codec-appropriate
-// response field.
-func fillDoc(resp *Response, binary bool, d storage.Document) {
-	if binary {
-		resp.doc = d
-	} else {
-		resp.Doc = docToJSON(d)
-	}
-}
-
 // fillDocs routes a multi-document read result — encoded wrappers or
-// plain documents — to the codec-appropriate response fields.
-func fillDocs(resp *Response, binary bool, res any) {
+// plain documents — to the response's document fields.
+func fillDocs(resp *Response, res any) {
 	switch ds := res.(type) {
 	case []*storage.EncodedDoc:
 		raw := make([][]byte, 0, len(ds))
@@ -252,12 +221,6 @@ func fillDocs(resp *Response, binary bool, res any) {
 		}
 		resp.rawDocs = raw
 	case []storage.Document:
-		if binary {
-			resp.docs = ds
-			return
-		}
-		for _, d := range ds {
-			resp.Docs = append(resp.Docs, docToJSON(d))
-		}
+		resp.docs = ds
 	}
 }

@@ -4,17 +4,15 @@ package wire
 // server (no read deadlines, no inflight accounting, no shed checks)
 // versus the admission-enabled server with every gate armed but none
 // tripping — the steady-state cost of observability and control on the
-// hot read path.
-//
-// bench/baseline_pr6.txt was recorded with WIRE_ADMISSION=off, which
-// pins the seed construction path; the default run arms admission.
+// hot read path. bench/baseline_pr6.txt holds the seed-server side of
+// the contrast (every gate off) as recorded data; no switch re-captures
+// it any more.
 //
 //	go test ./internal/wire -bench BenchmarkWireAdmission -benchtime 1x -count 3 -benchmem
 
 import (
 	"fmt"
 	"net"
-	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -66,9 +64,6 @@ func startBenchServerAdmission(b *testing.B) (string, func()) {
 		MaxInflightPerConn: 256,
 		ShedInflight:       4096,
 		SlowOpThreshold:    time.Second,
-	}
-	if os.Getenv("WIRE_ADMISSION") == "off" {
-		scfg = ServerConfig{}
 	}
 	srv := NewServerWith(env, rs, nil, scfg)
 	ln, lerr := net.Listen("tcp", "127.0.0.1:0")

@@ -279,17 +279,10 @@ func encodeRequest(dst []byte, r *Request) ([]byte, error) {
 			dst = appendString(dst, id)
 		}
 	}
-	if r.filter != nil || r.Filter != nil {
-		f := r.filter
-		if f == nil {
-			var err error
-			if f, err = DecodeFilter(r.Filter); err != nil {
-				return nil, err
-			}
-		}
+	if r.filter != nil {
 		dst = binary.AppendUvarint(dst, rqFilter)
 		var err error
-		if dst, err = appendFilter(dst, f); err != nil {
+		if dst, err = appendFilter(dst, r.filter); err != nil {
 			return nil, err
 		}
 	}
@@ -356,8 +349,8 @@ func encodeRequest(dst []byte, r *Request) ([]byte, error) {
 	return dst, nil
 }
 
-// decodeRequest parses a binary body into r. The typed filter and
-// mutation doc fields are filled directly; the JSON map forms stay nil.
+// decodeRequest parses a binary body into r, filling the typed filter
+// and mutation doc fields directly.
 func decodeRequest(b []byte, r *Request) error {
 	var err error
 	for len(b) > 0 {
@@ -605,15 +598,11 @@ func appendMutation(dst []byte, m *Mutation) ([]byte, error) {
 	}
 	dst = appendString(dst, m.Collection)
 	dst = appendString(dst, m.DocID)
-	doc, err := m.document()
-	if err != nil {
-		return nil, err
-	}
-	if doc == nil {
+	if m.doc == nil {
 		return append(dst, 0), nil
 	}
 	dst = append(dst, 1)
-	return storage.AppendDoc(dst, doc), nil
+	return storage.AppendDoc(dst, m.doc), nil
 }
 
 func decodeMutation(b []byte, m *Mutation) ([]byte, error) {
@@ -654,8 +643,7 @@ func decodeMutation(b []byte, m *Mutation) ([]byte, error) {
 
 // encodeResponse appends r's binary body to dst. Document payloads
 // prefer the raw cached encodings (rawDoc/rawDocs) — spliced in with a
-// copy but no re-encoding — then the typed documents, then the JSON
-// map forms (defensive; binary dispatch never builds them).
+// copy but no re-encoding — then the typed documents.
 func encodeResponse(dst []byte, r *Response) ([]byte, error) {
 	if r.ID != 0 {
 		dst = binary.AppendUvarint(dst, rsID)
@@ -673,7 +661,6 @@ func encodeResponse(dst []byte, r *Response) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, rsFound)
 		dst = append(dst, 1)
 	}
-	var err error
 	switch {
 	case r.rawDoc != nil:
 		dst = binary.AppendUvarint(dst, rsDoc)
@@ -681,13 +668,6 @@ func encodeResponse(dst []byte, r *Response) ([]byte, error) {
 	case r.doc != nil:
 		dst = binary.AppendUvarint(dst, rsDoc)
 		dst = storage.AppendDoc(dst, r.doc)
-	case r.Doc != nil:
-		var d storage.Document
-		if d, err = jsonToDoc(r.Doc); err != nil {
-			return nil, err
-		}
-		dst = binary.AppendUvarint(dst, rsDoc)
-		dst = storage.AppendDoc(dst, d)
 	}
 	switch {
 	case r.rawDocs != nil:
@@ -700,16 +680,6 @@ func encodeResponse(dst []byte, r *Response) ([]byte, error) {
 		dst = binary.AppendUvarint(dst, rsDocs)
 		dst = binary.AppendUvarint(dst, uint64(len(r.docs)))
 		for _, d := range r.docs {
-			dst = storage.AppendDoc(dst, d)
-		}
-	case r.Docs != nil:
-		dst = binary.AppendUvarint(dst, rsDocs)
-		dst = binary.AppendUvarint(dst, uint64(len(r.Docs)))
-		for _, m := range r.Docs {
-			var d storage.Document
-			if d, err = jsonToDoc(m); err != nil {
-				return nil, err
-			}
 			dst = storage.AppendDoc(dst, d)
 		}
 	}
@@ -815,15 +785,11 @@ func encodeResponse(dst []byte, r *Response) ([]byte, error) {
 			}
 			dst = appendString(dst, e.Collection)
 			dst = appendString(dst, e.DocID)
-			doc, derr := e.document()
-			if derr != nil {
-				return nil, derr
-			}
-			if doc == nil {
+			if e.doc == nil {
 				dst = append(dst, 0)
 			} else {
 				dst = append(dst, 1)
-				dst = storage.AppendDoc(dst, doc)
+				dst = storage.AppendDoc(dst, e.doc)
 			}
 		}
 	}
@@ -843,8 +809,7 @@ func encodeResponse(dst []byte, r *Response) ([]byte, error) {
 }
 
 // decodeResponse parses a binary body into r, filling the typed
-// document fields (doc/docs); the JSON map forms stay nil and callers
-// go through document()/documents().
+// document fields (doc/docs).
 func decodeResponse(b []byte, r *Response) error {
 	var err error
 	for len(b) > 0 {

@@ -27,13 +27,8 @@ import (
 // pipelined onto the socket and a demux goroutine matches responses
 // back to callers by request id, so concurrent operations keep many
 // requests in flight without a connection per caller.
-//
-// Dial negotiates protocol v2 (binary bodies, BSON-lite documents) and
-// falls back to v1 JSON when the server predates the handshake;
-// DialJSON forces v1 for debugging and comparative benchmarks.
 type Client struct {
 	addr    string
-	maxVer  byte
 	nextID  atomic.Uint64
 	topoTTL time.Duration
 
@@ -56,7 +51,6 @@ type Client struct {
 // delivers each to the caller registered under its id.
 type muxConn struct {
 	c      net.Conn
-	binary bool // negotiated protocol ≥ V2
 	wmu    sync.Mutex
 	bw     *bufio.Writer
 	queued atomic.Int32 // senders in or waiting for send(); last one out flushes
@@ -68,20 +62,10 @@ type muxConn struct {
 
 // send writes one frame. Flushing is deferred to the last queued
 // sender, so a burst of concurrent requests coalesces into one
-// syscall instead of one per frame. Binary frames are staged in a
-// pooled buffer (header and body in one slice, so the write is a
-// single copy into the shared writer).
+// syscall instead of one per frame. Frames are staged in a pooled
+// buffer (header and body in one slice, so the write is a single copy
+// into the shared writer).
 func (mc *muxConn) send(req *Request) error {
-	if !mc.binary {
-		mc.queued.Add(1)
-		mc.wmu.Lock()
-		defer mc.wmu.Unlock()
-		err := WriteFrame(mc.bw, req)
-		if mc.queued.Add(-1) == 0 && err == nil {
-			err = mc.bw.Flush()
-		}
-		return err
-	}
 	p := getBuf()
 	buf, err := encodeRequest(beginFrame((*p)[:0]), req)
 	if err == nil {
@@ -128,12 +112,7 @@ func (mc *muxConn) demux() {
 			return
 		}
 		resp := &Response{}
-		if mc.binary {
-			err = decodeResponse(body, resp)
-		} else {
-			err = decodeJSONBody(body, resp)
-		}
-		if err != nil {
+		if err := decodeResponse(body, resp); err != nil {
 			mc.fail(err)
 			return
 		}
@@ -191,23 +170,11 @@ var (
 	_ driver.FreshConn        = (*Client)(nil)
 )
 
-// Dial connects to a wire server and fetches the initial topology.
-// The connection negotiates the binary protocol (v2) and falls back
-// to v1 JSON against servers that predate the handshake.
+// Dial connects to a wire server, runs the hello handshake and
+// fetches the initial topology.
 func Dial(addr string) (*Client, error) {
-	return dial(addr, V2)
-}
-
-// DialJSON connects speaking only protocol v1 (JSON bodies). Intended
-// for debug tooling and comparative benchmarks; the JSON codec is
-// otherwise a compatibility fallback.
-func DialJSON(addr string) (*Client, error) {
-	return dial(addr, V1)
-}
-
-func dial(addr string, maxVer byte) (*Client, error) {
 	cl := &Client{
-		addr: addr, maxVer: maxVer, topoTTL: 5 * time.Second,
+		addr: addr, topoTTL: 5 * time.Second,
 		tracer: trace.NewRecorder(rand.New(rand.NewSource(time.Now().UnixNano())), trace.Config{}),
 	}
 	if err := cl.refreshTopology(); err != nil {
@@ -224,19 +191,6 @@ func (cl *Client) Tracer() *trace.Recorder { return cl.tracer }
 // operations originated through this client. 0 (the default) turns
 // tracing off; its cost is then one atomic load per operation.
 func (cl *Client) SetTraceSampling(rate float64) { cl.tracer.SetSampling(rate) }
-
-// Version reports the negotiated protocol version of the live shared
-// connection, dialing one if needed.
-func (cl *Client) Version() (int, error) {
-	mc, err := cl.getMux()
-	if err != nil {
-		return 0, err
-	}
-	if mc.binary {
-		return V2, nil
-	}
-	return V1, nil
-}
 
 // Close shuts the shared connection; outstanding callers fail.
 func (cl *Client) Close() {
@@ -269,41 +223,25 @@ func (cl *Client) getMux() (*muxConn, error) {
 	return mc, nil
 }
 
-// dialMux dials and, when the client speaks v2, runs the version
-// handshake. A server that predates the handshake reads the hello
-// magic as an oversized frame length and drops the connection — the
-// client takes any handshake failure as that signal and redials in
-// plain JSON mode, so new clients interoperate with old servers.
+// dialMux dials and runs the hello handshake, each bounded by
+// handshakeTimeout — the caller holds cl.mu, so an unbounded wait on a
+// silent peer would stall every user of the client.
 func (cl *Client) dialMux() (*muxConn, error) {
-	c, err := net.Dial("tcp", cl.addr)
+	c, err := net.DialTimeout("tcp", cl.addr, handshakeTimeout)
 	if err != nil {
 		return nil, err
 	}
-	ver := byte(V1)
-	if cl.maxVer >= V2 {
-		ver, err = clientHandshake(c, cl.maxVer)
-		if err != nil {
-			c.Close()
-			if c, err = net.Dial("tcp", cl.addr); err != nil {
-				return nil, err
-			}
-			ver = V1
-		}
+	if err := Handshake(c); err != nil {
+		c.Close()
+		return nil, err
 	}
 	mc := &muxConn{
-		c: c, binary: ver >= V2,
+		c:       c,
 		bw:      bufio.NewWriter(c),
 		pending: map[uint64]chan *Response{},
 	}
 	go mc.demux()
 	return mc, nil
-}
-
-func clientHandshake(c net.Conn, maxVer byte) (byte, error) {
-	if err := writeHello(c, maxVer); err != nil {
-		return 0, err
-	}
-	return readHelloReply(c)
 }
 
 // roundTrip pipelines one request onto the shared connection and
@@ -501,10 +439,6 @@ func (cl *Client) OplogTail(p sim.Proc, after oplog.OpTime, max int) ([]oplog.De
 	entries := make([]oplog.DecodedEntry, 0, len(resp.Entries))
 	for i := range resp.Entries {
 		eb := &resp.Entries[i]
-		doc, derr := eb.document()
-		if derr != nil {
-			return nil, oplog.Zero, oplog.Zero, derr
-		}
 		var kind oplog.Kind
 		switch eb.Kind {
 		case "insert":
@@ -525,7 +459,7 @@ func (cl *Client) OplogTail(p sim.Proc, after oplog.OpTime, max int) ([]oplog.De
 				Collection: eb.Collection,
 				DocID:      eb.DocID,
 			},
-			Doc: doc,
+			Doc: eb.doc,
 		})
 	}
 	return entries, optimeFrom(resp.OpSecs, resp.OpInc), optimeFrom(resp.TruncSecs, resp.TruncInc), nil
@@ -785,7 +719,7 @@ type remoteReadView struct {
 	trace *trace.Context
 	bound int64
 	// rc is the read concern every op of the body carries (0 = local;
-	// zero wire bytes on both codecs).
+	// zero wire bytes).
 	rc int
 	// wantFresh asks each op for the node's observed staleness; stale
 	// accumulates the worst value seen — the cache fill's price.
@@ -833,12 +767,7 @@ func (v *remoteReadView) FindByID(collection, id string) (storage.Document, bool
 	if !resp.Found {
 		return nil, false
 	}
-	doc, err := resp.document()
-	if err != nil {
-		v.fail(err)
-		return nil, false
-	}
-	return doc, true
+	return resp.doc, true
 }
 
 func (v *remoteReadView) FindManyByID(collection string, ids []string) []storage.Document {
@@ -850,7 +779,7 @@ func (v *remoteReadView) FindManyByID(collection string, ids []string) []storage
 		return nil
 	}
 	v.observe(resp)
-	return v.respDocs(resp)
+	return resp.docs
 }
 
 func (v *remoteReadView) Find(collection string, f storage.Filter, limit int) []storage.Document {
@@ -862,7 +791,7 @@ func (v *remoteReadView) Find(collection string, f storage.Filter, limit int) []
 		return nil
 	}
 	v.observe(resp)
-	return v.respDocs(resp)
+	return resp.docs
 }
 
 func (v *remoteReadView) Count(collection string, f storage.Filter) int {
@@ -879,21 +808,9 @@ func (v *remoteReadView) Count(collection string, f storage.Filter) int {
 
 func (v *remoteReadView) AddUnits(int) {} // costs are charged server-side
 
-// respDocs extracts a response's documents, whichever codec delivered
-// them, folding conversion errors into the view's sticky error.
-func (v *remoteReadView) respDocs(resp *Response) []storage.Document {
-	docs, err := resp.documents()
-	if err != nil {
-		v.fail(err)
-		return nil
-	}
-	return docs
-}
-
 // remoteWriteTxn buffers mutations client-side; ExecWrite ships them
-// as one batch. Documents stay in canonical storage form — the binary
-// codec encodes them directly, and the v1 codec converts to JSON maps
-// at marshal time.
+// as one batch. Documents stay in canonical storage form and are
+// encoded straight into the batch frame.
 type remoteWriteTxn struct {
 	remoteReadView
 	muts []Mutation

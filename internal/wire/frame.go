@@ -1,93 +1,117 @@
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
+	"time"
 )
 
-// Protocol versions. Both share the frame format — a 4-byte big-endian
-// length prefix followed by the body — and differ only in the body
-// codec: v1 bodies are JSON, v2 bodies are the hand-rolled binary
-// encoding in binary.go with BSON-lite document payloads.
-const (
-	V1 = 1 // JSON bodies; the format old clients and debug tooling speak
-	V2 = 2 // binary bodies with BSON-lite documents
-)
+// V2 is the protocol version: a 4-byte big-endian length prefix
+// followed by the binary body encoding in binary.go, with BSON-lite
+// document payloads. It is the only version a server speaks; the JSON
+// protocol v1 is retired.
+const V2 = 2
 
-// helloMagic opens a client hello: 4 magic bytes followed by one byte
-// carrying the highest version the client speaks. The server replies
-// with the magic and the version the connection will use,
-// min(client max, V2). The magic is chosen so that a v1-only server
-// reading it as a frame length sees ~3.5 GiB — far beyond MaxFrame —
-// and drops the connection with a clean error, which the client takes
-// as its cue to redial in JSON mode. A client that never sends a hello
-// gets a v1 connection; the first four bytes of a real v1 frame are a
-// length ≤ MaxFrame and can never collide with the magic.
+// helloMagic opens the hello both sides exchange before any frame: 4
+// magic bytes followed by one byte carrying a version — the highest
+// the client speaks, and in the server's reply the version the
+// connection will use. As a big-endian length the magic reads as
+// ~3.5 GiB, far beyond MaxFrame, so it can never be mistaken for the
+// start of a frame, and a peer that opens with a frame instead (a
+// client of the retired v1 protocol) is refused at its first four
+// bytes.
 var helloMagic = [4]byte{0xDC, 0xF2, 0x57, 0x50}
 
 // helloLen is the size of both the client hello and the server reply.
 const helloLen = 5
 
-// writeHello sends a client hello advertising maxVersion.
-func writeHello(w io.Writer, maxVersion byte) error {
+// handshakeTimeout bounds a client's TCP dial and, separately, its
+// hello exchange: a peer that accepts but never answers (a stopped
+// server, a black hole) fails the dial instead of blocking it — and
+// every caller queued behind the client's connection lock — forever.
+const handshakeTimeout = 3 * time.Second
+
+// errNoHello is the server's verdict on a peer whose first bytes are
+// not a hello.
+var errNoHello = errors.New("wire: protocol v1 is retired: peer opened without a hello")
+
+// Handshake runs the client side of the hello exchange on a freshly
+// dialed connection, bounded by handshakeTimeout. Raw protocol probes
+// call it before WriteFrame/ReadFrame.
+func Handshake(c net.Conn) error {
+	c.SetDeadline(time.Now().Add(handshakeTimeout))
 	var buf [helloLen]byte
 	copy(buf[:4], helloMagic[:])
-	buf[4] = maxVersion
-	_, err := w.Write(buf[:])
+	buf[4] = V2
+	if _, err := c.Write(buf[:]); err != nil {
+		return err
+	}
+	if _, err := io.ReadFull(c, buf[:]); err != nil {
+		return err
+	}
+	if [4]byte(buf[:4]) != helloMagic {
+		return fmt.Errorf("wire: bad handshake reply %x", buf[:4])
+	}
+	if buf[4] != V2 {
+		return fmt.Errorf("wire: server negotiated unsupported version %d", buf[4])
+	}
+	return c.SetDeadline(time.Time{})
+}
+
+// negotiate performs the server side of the handshake. It reads the
+// first four bytes and refuses the peer unless they are the hello
+// magic — before any frame body is read — then reads the advertised
+// version and replies with V2.
+func negotiate(r io.Reader, w io.Writer) error {
+	var hello [helloLen]byte
+	if _, err := io.ReadFull(r, hello[:4]); err != nil {
+		return err
+	}
+	if [4]byte(hello[:4]) != helloMagic {
+		return errNoHello
+	}
+	if _, err := io.ReadFull(r, hello[4:]); err != nil {
+		return err
+	}
+	if hello[4] < V2 {
+		return fmt.Errorf("wire: client advertised version %d", hello[4])
+	}
+	hello[4] = V2
+	_, err := w.Write(hello[:])
 	return err
 }
 
-// readHelloReply reads and validates the server's handshake reply,
-// returning the negotiated version.
-func readHelloReply(r io.Reader) (byte, error) {
-	var buf [helloLen]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, err
+// WriteFrame encodes req as one v2 frame and writes it to w — the
+// request half of a raw protocol probe (see Handshake).
+func WriteFrame(w io.Writer, req *Request) error {
+	p := getBuf()
+	defer putBuf(p)
+	buf, err := encodeRequest(beginFrame((*p)[:0]), req)
+	if err == nil {
+		err = finishFrame(buf, 0)
 	}
-	if [4]byte(buf[:4]) != helloMagic {
-		return 0, fmt.Errorf("wire: bad handshake reply %x", buf[:4])
+	if err != nil {
+		return err
 	}
-	v := buf[4]
-	if v < V1 || v > V2 {
-		return 0, fmt.Errorf("wire: server negotiated unsupported version %d", v)
-	}
-	return v, nil
+	*p = buf
+	_, err = w.Write(buf)
+	return err
 }
 
-// negotiate performs the server side of the handshake on a buffered
-// reader. It peeks at the first four bytes: a hello magic means a
-// versioned client (consume the hello, reply, speak the negotiated
-// version); anything else is the length prefix of a v1 frame from a
-// client that predates negotiation — leave it unread and speak JSON.
-func negotiate(br *bufio.Reader, w io.Writer) (byte, error) {
-	head, err := br.Peek(4)
+// ReadFrame reads one v2 response frame from r into resp — the
+// response half of a raw protocol probe. It reads exactly one frame,
+// so successive calls on a connection stay in step.
+func ReadFrame(r io.Reader, resp *Response) error {
+	fr := frameReader{r: r}
+	body, err := fr.next()
 	if err != nil {
-		return 0, err
+		return err
 	}
-	if [4]byte(head) != helloMagic {
-		return V1, nil
-	}
-	var hello [helloLen]byte
-	if _, err := io.ReadFull(br, hello[:]); err != nil {
-		return 0, err
-	}
-	ver := hello[4]
-	if ver > V2 {
-		ver = V2
-	}
-	if ver < V1 {
-		return 0, fmt.Errorf("wire: client advertised version %d", hello[4])
-	}
-	var reply [helloLen]byte
-	copy(reply[:4], helloMagic[:])
-	reply[4] = ver
-	if _, err := w.Write(reply[:]); err != nil {
-		return 0, err
-	}
-	return ver, nil
+	return decodeResponse(body, resp)
 }
 
 // framePool recycles frame-encoding buffers across requests. Buffers

@@ -2,14 +2,13 @@ package wire
 
 // Framing and transport tests for the PR 10 freshness-cache surface:
 // the want_fresh request flag and the stale_secs response answer (zero
-// bytes when unrequested on v2, omitempty on v1), the two-sided filter
+// bytes when unrequested), the two-sided filter
 // condition, corrupt-frame rejection for both, and the end-to-end
 // ExecReadFreshMeta path over a real socket.
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"net"
 	"strings"
 	"testing"
@@ -22,7 +21,8 @@ import (
 )
 
 // TestFreshMetaRoundTripBothCodecs: WantFresh and StaleSecs survive
-// both codecs.
+// the v2 codec. (The name dates from when a JSON codec was also
+// checked.)
 func TestFreshMetaRoundTripBothCodecs(t *testing.T) {
 	req := Request{ID: 21, Op: OpFindByID, Node: 2, Collection: "kv", DocID: "a",
 		WantFresh: true}
@@ -39,18 +39,6 @@ func TestFreshMetaRoundTripBothCodecs(t *testing.T) {
 		t.Fatal("v2 dropped want_fresh")
 	}
 
-	js, err := json.Marshal(&req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jout Request
-	if err := json.Unmarshal(js, &jout); err != nil {
-		t.Fatal(err)
-	}
-	if !jout.WantFresh {
-		t.Fatal("v1 dropped want_fresh")
-	}
-
 	resp := Response{ID: 22, Found: true, OpSecs: 9, OpInc: 1, StaleSecs: 4}
 	rbody, err := encodeResponse(nil, &resp)
 	if err != nil {
@@ -62,18 +50,6 @@ func TestFreshMetaRoundTripBothCodecs(t *testing.T) {
 	}
 	if rout.StaleSecs != 4 {
 		t.Fatalf("v2 stale_secs = %d, want 4", rout.StaleSecs)
-	}
-
-	rjs, err := json.Marshal(&resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var jrout Response
-	if err := json.Unmarshal(rjs, &jrout); err != nil {
-		t.Fatal(err)
-	}
-	if jrout.StaleSecs != 4 {
-		t.Fatalf("v1 stale_secs = %d, want 4", jrout.StaleSecs)
 	}
 }
 
@@ -120,21 +96,6 @@ func TestFreshTagsUnrequestedCostZeroBytes(t *testing.T) {
 	if !bytes.Equal(rplain, rtagged[:len(rplain)]) {
 		t.Fatal("stale_secs changed unrelated frame bytes")
 	}
-
-	js, err := json.Marshal(&base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(js), "want_fresh") {
-		t.Fatalf("v1 frame carries want_fresh when unset: %s", js)
-	}
-	rjs, err := json.Marshal(&rbase)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(rjs), "stale_secs") {
-		t.Fatalf("v1 frame carries stale_secs when zero: %s", rjs)
-	}
 }
 
 // TestWantFreshRejectsCorruptFlag: the flag byte is strictly 1 — any
@@ -156,8 +117,8 @@ func TestWantFreshRejectsCorruptFlag(t *testing.T) {
 
 // TestTwoSidedFilterRoundTripBothCodecs: a storage.Range condition —
 // the closed-interval scan the planner turns into one index walk —
-// survives the binary filter codec and the v1 JSON form with matching
-// semantics ([lo, hi)).
+// survives the binary filter codec with matching semantics ([lo, hi)).
+// (The name dates from when a JSON form was also checked.)
 func TestTwoSidedFilterRoundTripBothCodecs(t *testing.T) {
 	f := storage.Filter{
 		"k": storage.Range("doc10", "doc20"),
@@ -194,12 +155,6 @@ func TestTwoSidedFilterRoundTripBothCodecs(t *testing.T) {
 		t.Fatalf("%d trailing bytes", len(rest))
 	}
 	check("v2", dec)
-
-	jdec, err := DecodeFilter(EncodeFilter(f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	check("v1", jdec)
 }
 
 // TestTwoSidedFilterRejectsCorruptFrame: a second-bound op byte

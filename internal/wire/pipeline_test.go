@@ -51,6 +51,9 @@ func TestPipelinedResponsesOutOfOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	if err := Handshake(conn); err != nil {
+		t.Fatal(err)
+	}
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 
 	// Request 101: a read on a secondary that must wait for the NEXT
@@ -99,12 +102,8 @@ func TestPipelinedResponsesOutOfOrder(t *testing.T) {
 	if !second.Found {
 		t.Fatal("blocked read found no document")
 	}
-	doc, err := jsonToDoc(second.Doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Int("v") != 2 {
-		t.Fatalf("blocked read saw v=%d, want the post-write value 2", doc.Int("v"))
+	if v := second.doc.Int("v"); v != 2 {
+		t.Fatalf("blocked read saw v=%d, want the post-write value 2", v)
 	}
 }
 

@@ -87,10 +87,8 @@ type Backend interface {
 	// the trace export ops read from.
 	Tracer() *trace.Recorder
 	// Dispatch executes one non-transport request. The trace context is
-	// the server's dispatch span (zero when unsampled); binary reports
-	// whether the connection speaks v2, so encoded-document fast paths
-	// apply.
-	Dispatch(p sim.Proc, req *Request, binary bool, tctx trace.Context) *Response
+	// the server's dispatch span (zero when unsampled).
+	Dispatch(p sim.Proc, req *Request, tctx trace.Context) *Response
 }
 
 // Server exposes a Backend (a replica set, a mongos router — anything
@@ -98,11 +96,10 @@ type Backend interface {
 // pipelined: a reader goroutine decodes frames, each request is
 // dispatched on its own proc, and id-tagged responses stream back in
 // completion order — so one socket carries many requests in flight.
-// Each connection speaks the protocol version negotiated by its
-// opening handshake: v2 responses are encoded into pooled buffers and
-// flushed in bursts through one writev, and document payloads come
-// from the storage layer's encoding cache; v1 connections keep the
-// original JSON codec.
+// Each connection opens with the hello handshake; responses are
+// encoded into pooled buffers and flushed in bursts through one
+// writev, and document payloads come from the storage layer's
+// encoding cache.
 type Server struct {
 	env     *sim.RealtimeEnv
 	backend Backend
@@ -121,9 +118,9 @@ type Server struct {
 	opCounts map[string]*obs.Counter
 	opLat    map[string]*obs.Histogram
 
-	// Transport instruments: live connections by negotiated version,
-	// frame and byte volume each way, and bodies that failed to decode.
-	connsByVer [V2 + 1]*obs.Gauge
+	// Transport instruments: live handshaken connections, frame and
+	// byte volume each way, and bodies that failed to decode.
+	connsLive  *obs.Gauge
 	framesIn   *obs.Counter
 	framesOut  *obs.Counter
 	bytesIn    *obs.Counter
@@ -196,8 +193,8 @@ func NewBackendServer(env *sim.RealtimeEnv, backend Backend, logger *log.Logger,
 		s.opCounts[op] = reg.Counter(obs.Name("wire.requests", "op", op))
 		s.opLat[op] = reg.Histogram(obs.Name("wire.request_latency", "op", op))
 	}
-	s.connsByVer[V1] = reg.Gauge(obs.Name("wire.conns", "ver", "1"))
-	s.connsByVer[V2] = reg.Gauge(obs.Name("wire.conns", "ver", "2"))
+	// The version label stays so existing scrapes keep matching.
+	s.connsLive = reg.Gauge(obs.Name("wire.conns", "ver", "2"))
 	s.framesIn = reg.Counter("wire.frames_in")
 	s.framesOut = reg.Counter("wire.frames_out")
 	s.bytesIn = reg.Counter("wire.bytes_in")
@@ -300,8 +297,7 @@ func (s *Server) handle(conn net.Conn) {
 		conn.SetReadDeadline(time.Now().Add(idle))
 	}
 	br := bufio.NewReader(conn)
-	ver, err := negotiate(br, conn)
-	if err != nil {
+	if err := negotiate(br, conn); err != nil {
 		var ne net.Error
 		switch {
 		case errors.As(err, &ne) && ne.Timeout():
@@ -311,13 +307,12 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		return
 	}
-	s.connsByVer[ver].Add(1)
-	defer s.connsByVer[ver].Add(-1)
-	binary := ver >= V2
+	s.connsLive.Add(1)
+	defer s.connsLive.Add(-1)
 
 	responses := make(chan *Response, 64)
 	writerDone := make(chan struct{})
-	go s.writeLoop(conn, ver, responses, writerDone)
+	go s.writeLoop(conn, responses, writerDone)
 	var inflight sync.WaitGroup
 	var inService atomic.Int64 // this connection's requests in dispatch
 	var sem chan struct{}      // queue-stage budget; nil when uncapped
@@ -356,12 +351,7 @@ func (s *Server) handle(conn net.Conn) {
 		s.framesIn.Inc(1)
 		s.bytesIn.Inc(uint64(4 + len(body)))
 		var req Request
-		if binary {
-			err = decodeRequest(body, &req)
-		} else {
-			err = decodeJSONBody(body, &req)
-		}
-		if err != nil {
+		if err := decodeRequest(body, &req); err != nil {
 			// A frame that doesn't decode means a broken or hostile
 			// peer; the stream has no trustworthy continuation.
 			s.decodeErrs.Inc(1)
@@ -441,7 +431,7 @@ func (s *Server) handle(conn net.Conn) {
 			// client's, so the tree reads admission → dispatch → exec.
 			child := tctx
 			child.SpanID = dispatchID
-			resp := s.dispatch(proc, &r, binary, child)
+			resp := s.dispatch(proc, &r, child)
 			if s.curOps != nil {
 				s.curOps.Done(opID)
 			}
@@ -484,47 +474,18 @@ func (s *Server) handle(conn net.Conn) {
 	<-writerDone
 }
 
-// writeLoop is the connection's single writer. The v1 path drains
-// completed responses into a buffered writer and flushes only when no
-// further response is immediately queued; the v2 path encodes each
-// response into a pooled buffer and hands bursts to the kernel as one
-// writev (net.Buffers), so neither codec pays a syscall per frame. On
-// a write error it closes the connection (which unblocks the reader)
-// and keeps draining so in-flight dispatchers never block on the
-// response channel.
-func (s *Server) writeLoop(conn net.Conn, ver byte, responses <-chan *Response, done chan<- struct{}) {
-	defer close(done)
-	if ver >= V2 {
-		s.writeLoopBinary(conn, responses)
-		return
-	}
-	bw := bufio.NewWriter(countingWriter{w: conn, c: s.bytesOut})
-	broken := false
-	for resp := range responses {
-		if broken {
-			continue
-		}
-		err := WriteFrame(bw, resp)
-		s.framesOut.Inc(1)
-		if err == nil && len(responses) == 0 {
-			err = bw.Flush()
-		}
-		if err != nil {
-			s.log.Printf("wire: write to %s: %v", conn.RemoteAddr(), err)
-			conn.Close()
-			broken = true
-		}
-	}
-	if !broken {
-		bw.Flush()
-	}
-}
-
 // writevBatch bounds how many frames accumulate before a flush even
 // while more completions are queued (IOV_MAX headroom).
 const writevBatch = 64
 
-func (s *Server) writeLoopBinary(conn net.Conn, responses <-chan *Response) {
+// writeLoop is the connection's single writer. It encodes each
+// completed response into a pooled buffer and hands bursts to the
+// kernel as one writev (net.Buffers), so it never pays a syscall per
+// frame. On a write error it closes the connection (which unblocks the
+// reader) and keeps draining so in-flight dispatchers never block on
+// the response channel.
+func (s *Server) writeLoop(conn net.Conn, responses <-chan *Response, done chan<- struct{}) {
+	defer close(done)
 	broken := false
 	var frames net.Buffers
 	var pooled []*[]byte
@@ -585,19 +546,6 @@ func (s *Server) writeLoopBinary(conn net.Conn, responses <-chan *Response) {
 	}
 }
 
-// countingWriter feeds written byte counts into a counter; placed
-// under the v1 path's bufio.Writer so it prices flushes, not copies.
-type countingWriter struct {
-	w io.Writer
-	c *obs.Counter
-}
-
-func (cw countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.c.Inc(uint64(n))
-	return n, err
-}
-
 // routeString renders the balancer decision snapshot a request's trace
 // context carried, for the slow-op log. "-" means the request rode
 // without one — either sampling was off (the context costs zero bytes
@@ -623,12 +571,11 @@ func (s *Server) CurrentOps() []trace.OpInfo {
 // dispatch executes one request: the transport-owned export ops
 // (metrics, trace, current_op and their push counterparts) are served
 // here against the server's own state, everything else goes to the
-// backend. On binary connections backends route read results through
-// cluster.EncodedReadView when the serving view offers it, so
-// responses carry each document's cached BSON-lite encoding
-// (rawDoc/rawDocs) and the write loop splices bytes instead of
-// re-serializing; JSON connections get the map forms as before.
-func (s *Server) dispatch(p sim.Proc, req *Request, binary bool, tctx trace.Context) *Response {
+// backend. Backends route read results through cluster.EncodedReadView
+// when the serving view offers it, so responses carry each document's
+// cached BSON-lite encoding (rawDoc/rawDocs) and the write loop splices
+// bytes instead of re-serializing.
+func (s *Server) dispatch(p sim.Proc, req *Request, tctx trace.Context) *Response {
 	resp := &Response{}
 	switch req.Op {
 	case OpMetrics:
@@ -680,7 +627,7 @@ func (s *Server) dispatch(p sim.Proc, req *Request, binary bool, tctx trace.Cont
 		s.pushed[src] = req.Snapshot.Prefixed(src + ".")
 		s.mu.Unlock()
 	default:
-		return s.backend.Dispatch(p, req, binary, tctx)
+		return s.backend.Dispatch(p, req, tctx)
 	}
 	return resp
 }

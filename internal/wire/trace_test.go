@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"log"
 	"net"
@@ -106,7 +105,8 @@ func sameContext(a, b *trace.Context) bool {
 
 // TestTraceContextRoundTripBothCodecs drives the same request —
 // context shapes from absent to full-route, plus the audited bound and
-// a span payload — through the v2 binary codec and the v1 JSON codec.
+// a span payload — through the v2 binary codec. (The name dates from
+// when the JSON codec was also driven.)
 func TestTraceContextRoundTripBothCodecs(t *testing.T) {
 	for i, tc := range traceContexts() {
 		in := Request{ID: uint64(i + 1), Op: OpFind, Node: 1, Collection: "c", Trace: tc}
@@ -130,16 +130,6 @@ func TestTraceContextRoundTripBothCodecs(t *testing.T) {
 			t.Fatalf("case %d: decode v2: %v", i, err)
 		}
 		checkTraceRequest(t, i, "v2", &in, &v2)
-
-		jbody, err := json.Marshal(&in)
-		if err != nil {
-			t.Fatalf("case %d: encode v1: %v", i, err)
-		}
-		var v1 Request
-		if err := decodeJSONBody(jbody, &v1); err != nil {
-			t.Fatalf("case %d: decode v1: %v", i, err)
-		}
-		checkTraceRequest(t, i, "v1", &in, &v1)
 	}
 }
 
@@ -170,8 +160,8 @@ func checkTraceRequest(t *testing.T, i int, codec string, in, out *Request) {
 	}
 }
 
-// TestResponseSpansOpsRoundTrip covers the trace export side of both
-// codecs: spans and currentOp infos in a response body.
+// TestResponseSpansOpsRoundTrip covers the trace export side of the
+// codec: spans and currentOp infos in a response body.
 func TestResponseSpansOpsRoundTrip(t *testing.T) {
 	in := Response{
 		ID: 3,
@@ -187,25 +177,15 @@ func TestResponseSpansOpsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v2 Response
-	if err := decodeResponse(body, &v2); err != nil {
+	var out Response
+	if err := decodeResponse(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	jbody, err := json.Marshal(&in)
-	if err != nil {
-		t.Fatal(err)
+	if len(out.Spans) != 2 || out.Spans[0].Name != "server.dispatch" || out.Spans[1].Parent != 1 {
+		t.Fatalf("spans mismatch: %+v", out.Spans)
 	}
-	var v1 Response
-	if err := decodeJSONBody(jbody, &v1); err != nil {
-		t.Fatal(err)
-	}
-	for _, out := range []*Response{&v2, &v1} {
-		if len(out.Spans) != 2 || out.Spans[0].Name != "server.dispatch" || out.Spans[1].Parent != 1 {
-			t.Fatalf("spans mismatch: %+v", out.Spans)
-		}
-		if len(out.Ops) != 1 || out.Ops[0].ID != 11 || out.Ops[0].Trace != 8 || out.Ops[0].RunningNS != 500 {
-			t.Fatalf("ops mismatch: %+v", out.Ops)
-		}
+	if len(out.Ops) != 1 || out.Ops[0].ID != 11 || out.Ops[0].Trace != 8 || out.Ops[0].RunningNS != 500 {
+		t.Fatalf("ops mismatch: %+v", out.Ops)
 	}
 }
 

@@ -14,68 +14,59 @@ import (
 	"decongestant/internal/storage"
 )
 
+// TestFrameRoundTrip: WriteFrame emits one length-prefixed v2 request
+// frame, and ReadFrame reads exactly one v2 response frame.
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	in := Request{ID: 7, Op: OpFindByID, Node: 1, Collection: "c", DocID: "k"}
 	if err := WriteFrame(&buf, &in); err != nil {
 		t.Fatal(err)
 	}
+	fr := frameReader{r: &buf}
+	body, err := fr.next()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out Request
-	if err := ReadFrame(&buf, &out); err != nil {
+	if err := decodeRequest(body, &out); err != nil {
 		t.Fatal(err)
 	}
 	if out.ID != in.ID || out.Op != in.Op || out.Node != in.Node ||
 		out.Collection != in.Collection || out.DocID != in.DocID {
 		t.Fatalf("round trip mismatch: %+v vs %+v", out, in)
 	}
+
+	resp := Response{ID: 7, Found: true, OpSecs: 3}
+	frame, err := encodeResponse(beginFrame(nil), &resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := finishFrame(frame, 0); err != nil {
+		t.Fatal(err)
+	}
+	buf.Write(frame)
+	buf.Write(frame) // a second frame must stay unread
+	var rout Response
+	if err := ReadFrame(&buf, &rout); err != nil {
+		t.Fatal(err)
+	}
+	if rout.ID != 7 || !rout.Found || rout.OpSecs != 3 {
+		t.Fatalf("response mismatch: %+v", rout)
+	}
+	if buf.Len() != len(frame) {
+		t.Fatalf("ReadFrame consumed %d bytes of the next frame", len(frame)-buf.Len())
+	}
 }
 
+// TestFrameRejectsOversize: a header announcing more than MaxFrame is
+// rejected before the body buffer is allocated.
 func TestFrameRejectsOversize(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	var out Request
-	if err := ReadFrame(&buf, &out); err == nil {
+	fr := frameReader{r: bytes.NewReader([]byte{0xFF, 0xFF, 0xFF, 0xFF})}
+	if _, err := fr.next(); err == nil {
 		t.Fatal("oversize frame accepted")
 	}
-}
-
-func TestFilterEncodingRoundTrip(t *testing.T) {
-	f := storage.Filter{
-		"a": storage.Eq(5),
-		"b": storage.Gt("x"),
-		"c": storage.In(1, 2, 3),
-		"d": storage.Exists(),
-		"e": storage.Lte(2.5),
-	}
-	dec, err := DecodeFilter(EncodeFilter(f))
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := storage.D{"a": int64(5), "b": "z", "c": int64(2), "d": true, "e": 2.5}
-	nd, _ := doc.Normalized()
-	if !f.Matches(nd) || !dec.Matches(nd) {
-		t.Fatal("filters disagree on matching doc")
-	}
-	bad := storage.D{"a": int64(6), "b": "z", "c": int64(2), "d": true, "e": 2.5}
-	nb, _ := bad.Normalized()
-	if dec.Matches(nb) {
-		t.Fatal("decoded filter matched non-matching doc")
-	}
-}
-
-func TestJSONDocRoundTripNormalizesIntegers(t *testing.T) {
-	d := storage.D{"i": int64(42), "f": 2.5, "s": "x", "nested": storage.D{"n": int64(1)},
-		"arr": []any{int64(1), "two"}}
-	nd, _ := d.Normalized()
-	back, err := jsonToDoc(docToJSON(nd))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := back["i"].(int64); !ok {
-		t.Fatalf("integral number decoded as %T", back["i"])
-	}
-	if !storage.Equal(nd, back) {
-		t.Fatalf("mismatch: %v vs %v", nd, back)
+	if fr.buf != nil {
+		t.Fatalf("oversize header allocated a %d-byte body buffer", cap(fr.buf))
 	}
 }
 
